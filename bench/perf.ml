@@ -1,13 +1,13 @@
 (** [main.exe perf [--quick]]: the performance trajectory benchmark.
 
-    Measures the fast-path layers (threaded-code interpreter, fused
+    Measures the fast-path layers (register-bytecode interpreter, fused
     single-pass profiling, profile cache, domain pool) and writes the
     numbers to [BENCH_psaflow.json]:
 
-    - interpreter throughput on the heaviest benchmark, before (slot-IR
-      tree walker, {!Minic_interp.Eval.run_ir}) and after (threaded
-      code, {!Minic_interp.Eval.run_compiled}), checking the two produce
-      bit-identical profiles;
+    - interpreter throughput on nbody, before (slot-IR tree walker,
+      {!Minic_interp.Eval.run_ir}) and after (the bytecode VM,
+      {!Minic_interp.Eval.run_compiled}, on the unoptimized and on the
+      optimized IR), checking all legs produce bit-identical profiles;
     - the repeated-analysis path, cold (cache disabled, every analysis
       re-interprets) vs cached (all analyses project one fused run);
     - the uninformed 5-benchmark evaluation: cold (sequential, cache
@@ -108,7 +108,7 @@ let run ~quick () =
     (if quick then "quick" else "full")
     cores;
 
-  (* -- interpreter throughput: walker vs threaded vs optimized ------ *)
+  (* -- interpreter throughput: walker vs unoptimized vs optimized --- *)
   (* --quick runs every leg below — including the per-pass optimizer
      identity checks — with fewer timing repetitions, never skipping a
      section: a partial rerun must overwrite every BENCH field. *)
@@ -129,7 +129,7 @@ let run ~quick () =
   in
   let heavy_p = Benchmarks.Bench_app.program heavy ~n:heavy.profile_n in
   let heavy_ir = Minic_interp.Resolve.compile heavy_p in
-  (* the production path ([Eval.compile] = resolve + optimize + thread);
+  (* the production path ([Eval.compile] = resolve + optimize + lower);
      compiled first so the published opt_* pass counters are its own *)
   let compiled = Minic_interp.Eval.compile heavy_p in
   let opt_counters =
@@ -146,15 +146,11 @@ let run ~quick () =
   in
   let unoptimized = Minic_interp.Eval.compile_resolved heavy_ir in
   let before_s, before_run = best (fun () -> Minic_interp.Eval.run_ir heavy_ir) in
+  (* the VM on the raw slot IR, then on the optimized IR (production) *)
   let unopt_s, unopt_run =
-    best (fun () -> Minic_interp.Eval.run_threaded unoptimized)
+    best (fun () -> Minic_interp.Eval.run_compiled unoptimized)
   in
-  let after_s, after_run =
-    best (fun () -> Minic_interp.Eval.run_threaded compiled)
-  in
-  (* the bytecode VM on the same optimized IR — the production engine
-     unless PSAFLOW_NO_VM selects the threaded closures above *)
-  let vm_s, vm_run = best (fun () -> Minic_interp.Eval.run_vm compiled) in
+  let vm_s, vm_run = best (fun () -> Minic_interp.Eval.run_compiled compiled) in
   let vm_counters =
     List.map
       (fun name ->
@@ -162,7 +158,6 @@ let run ~quick () =
       [
         "vm_kernels";
         "vm_kernels_fused";
-        "vm_kernels_shardable";
         "vm_kernel_ops_before";
         "vm_kernel_ops_after";
         "vm_kernel_lits";
@@ -202,16 +197,14 @@ let run ~quick () =
         (name, fingerprint r = walker_fp))
       pass_legs
   in
-  let threaded_identical =
+  let interp_identical =
     fingerprint unopt_run = walker_fp
-    && fingerprint after_run = walker_fp
     && fingerprint vm_run = walker_fp
     && List.for_all snd pass_identical
   in
-  let mcycles = after_run.profile.cycles /. 1e6 in
+  let mcycles = vm_run.profile.cycles /. 1e6 in
   let before_rate = mcycles /. before_s
   and unopt_rate = mcycles /. unopt_s
-  and after_rate = mcycles /. after_s
   and vm_rate = mcycles /. vm_s in
   let bulk_mcycles =
     match
@@ -222,114 +215,19 @@ let run ~quick () =
     | None -> 0.0
   in
   Printf.printf
-    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   threaded %8.4f s \
-     (%.1f Mcycles/s)   optimized %8.4f s (%.1f Mcycles/s)   bytecode %8.4f s \
-     (%.1f Mcycles/s)   speedup %.1fx   outputs identical: %b\n%!"
-    heavy.id before_s before_rate unopt_s unopt_rate after_s after_rate vm_s
-    vm_rate (before_s /. vm_s) threaded_identical;
+    "interp   %-12s ir-walker %8.4f s (%.1f Mcycles/s)   unoptimized %8.4f s \
+     (%.1f Mcycles/s)   bytecode %8.4f s (%.1f Mcycles/s)   speedup %.1fx   \
+     outputs identical: %b\n%!"
+    heavy.id before_s before_rate unopt_s unopt_rate vm_s vm_rate
+    (before_s /. vm_s) interp_identical;
   Printf.printf "         passes: %s   bulk %.1f of %.1f Mcycles\n%!"
     (String.concat "  "
        (List.map
           (fun (n, ok) -> Printf.sprintf "%s=%s" n (if ok then "ok" else "DIVERGES"))
           pass_identical))
     bulk_mcycles mcycles;
-  if not threaded_identical then
-    prerr_endline "ERROR: an engine's profile diverges from the IR walker!";
-
-  (* -- domain-parallel loop execution ------------------------------- *)
-  (* A purpose-built data-parallel triad (y[i] = y[i] + a*x[i]) whose
-     fused kernel passes the VM's shardability checks; the same compiled
-     program runs with 1, 2 and 4 worker domains and every observable
-     must be bit-identical (the accounting is closed-form on the calling
-     domain; iterations own disjoint elements). *)
-  let triad_n = 200_000 and triad_rounds = 50 in
-  let triad_p =
-    Minic.Parser.parse_program
-      (Printf.sprintf
-         {|
-int main() {
-  int n = %d;
-  double x[n];
-  double y[n];
-  for (int i = 0; i < n; i++) {
-    x[i] = rand01();
-    y[i] = rand01();
-  }
-  double a = 1.5;
-  for (int r = 0; r < %d; r++) {
-    for (int i = 0; i < n; i++) {
-      y[i] = y[i] + a * x[i];
-    }
-  }
-  print_float(y[12345]);
-  return 0;
-}
-|}
-         triad_n triad_rounds)
-  in
-  let triad_c = Minic_interp.Eval.compile triad_p in
-  if cores <= 1 then
-    prerr_endline
-      "WARNING: 1 recommended domain; parallel legs still execute with \
-       2/4 worker domains but cannot show wall-clock speedup";
-  let saved_jobs = !Minic_interp.Eval.vm_jobs_override in
-  let saved_shard_min = !Minic_interp.Eval.vm_shard_min in
-  Minic_interp.Eval.vm_shard_min := 4096;
-  let parallel_legs =
-    List.map
-      (fun domains ->
-        Minic_interp.Eval.vm_jobs_override := Some domains;
-        let s, r = best (fun () -> Minic_interp.Eval.run_vm triad_c) in
-        (domains, s, r))
-      [ 1; 2; 4 ]
-  in
-  Minic_interp.Eval.vm_jobs_override := saved_jobs;
-  Minic_interp.Eval.vm_shard_min := saved_shard_min;
-  let triad_mcycles =
-    match parallel_legs with
-    | (_, _, r) :: _ -> r.Minic_interp.Eval.profile.cycles /. 1e6
-    | [] -> 0.0
-  in
-  let parallel_identical =
-    match parallel_legs with
-    | (_, _, r1) :: rest ->
-        List.for_all (fun (_, _, r) -> fingerprint r = fingerprint r1) rest
-    | [] -> false
-  in
-  let sharded_kernels =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global "vm_sharded_kernels"
-  in
-  Printf.printf "parallel triad (n=%d, %d rounds)  %s   sharded kernels %d   \
-                 outputs identical: %b\n%!"
-    triad_n triad_rounds
-    (String.concat "   "
-       (List.map
-          (fun (d, s, _) ->
-            Printf.sprintf "%d-domain %8.4f s (%.1f Mcycles/s)" d s
-              (triad_mcycles /. s))
-          parallel_legs))
-    sharded_kernels parallel_identical;
-  if not parallel_identical then
-    prerr_endline "ERROR: domain-sharded outputs diverge across domain counts!";
-  (* parallel efficiency per leg: (t_1dom / t_Ndom) / N.  Legs with more
-     domains than cores oversubscribe the CPU and land below 1/N — a
-     real, expected slowdown on small containers that the report records
-     honestly rather than leaving unexplained. *)
-  let triad_t1 =
-    match parallel_legs with (_, s, _) :: _ -> s | [] -> 0.0
-  in
-  let triad_efficiency d s =
-    if s > 0.0 && d > 0 then triad_t1 /. s /. float_of_int d else 0.0
-  in
-  let oversubscribed =
-    List.exists (fun (d, _, _) -> d > cores) parallel_legs
-  in
-  if oversubscribed then
-    Printf.eprintf
-      "note: triad legs running more domains than the %d recommended core(s) \
-       oversubscribe the CPU; parallel_efficiency < 1/domains is expected, \
-       not an engine regression\n%!"
-      cores;
+  if not interp_identical then
+    prerr_endline "ERROR: a VM profile diverges from the IR walker!";
 
   (* -- repeated-analysis path: cold vs cached ---------------------- *)
   let prepared = prepare heavy in
@@ -360,16 +258,16 @@ int main() {
         (app, Benchmarks.Bench_app.context app))
       Benchmarks.Registry.all
   in
-  let saved_override = !Dse.Pool.override in
+  let saved_override = !Flow_par.Pool.override in
   (* cold: sequential, cache enabled but empty — every fused request is
      interpreted exactly once, inside the timed region *)
-  Dse.Pool.override := Some 1;
+  Flow_par.Pool.override := Some 1;
   let cold_flow_s, cold_fp = time (uninformed_all contexts) in
   (* warm sequential: same work, all fused requests hit the cache — the
      cached-vs-uncached pair observable regardless of core count *)
   let warm_seq_s, warm_seq_fp = time (uninformed_all contexts) in
-  Dse.Pool.override := saved_override;
-  let jobs = Dse.Pool.jobs () in
+  Flow_par.Pool.override := saved_override;
+  let jobs = Flow_par.Pool.jobs () in
   (* warm parallel: the pooled path the service uses *)
   let warm_par_s, warm_par_fp = time (uninformed_all contexts) in
   let identical = cold_fp = warm_seq_fp && warm_seq_fp = warm_par_fp in
@@ -451,21 +349,15 @@ int main() {
                     ("run_s", Float before_s);
                     ("mcycles_per_s", Float before_rate);
                   ] );
-              (* production path: slot IR optimized, then threaded *)
-              ( "threaded",
-                Obj
-                  [
-                    ("run_s", Float after_s);
-                    ("mcycles_per_s", Float after_rate);
-                  ] );
+              (* the VM on the raw slot IR vs on the optimized IR *)
               ( "optimized",
                 Obj
                   ([
                      ("unoptimized_run_s", Float unopt_s);
                      ("unoptimized_mcycles_per_s", Float unopt_rate);
-                     ("run_s", Float after_s);
-                     ("mcycles_per_s", Float after_rate);
-                     ("speedup_vs_unoptimized", Float (unopt_s /. after_s));
+                     ("run_s", Float vm_s);
+                     ("mcycles_per_s", Float vm_rate);
+                     ("speedup_vs_unoptimized", Float (unopt_s /. vm_s));
                      ("bulk_mcycles_charged", Float bulk_mcycles);
                      ( "passes_identical",
                        Obj
@@ -474,56 +366,15 @@ int main() {
                             pass_identical) );
                    ]
                   @ List.map (fun (n, v) -> (n, Int v)) opt_counters) );
-              (* the register-bytecode VM (production engine): same
-                 optimized IR, flat instruction arrays + fused kernel
-                 micro-ops *)
+              (* the production engine: optimized IR lowered to flat
+                 instruction arrays + fused kernel micro-ops *)
               ( "bytecode",
                 Obj
-                  ([
-                     ("run_s", Float vm_s);
-                     ("mcycles_per_s", Float vm_rate);
-                     ("speedup_vs_threaded", Float (after_s /. vm_s));
-                   ]
+                  ([ ("run_s", Float vm_s); ("mcycles_per_s", Float vm_rate) ]
                   @ List.map (fun (n, v) -> (n, Int v)) vm_counters) );
-              ("speedup", Float (before_s /. after_s));
-              ("speedup_total", Float (before_s /. vm_s));
-              ("outputs_identical", Bool threaded_identical);
+              ("speedup", Float (before_s /. vm_s));
+              ("outputs_identical", Bool interp_identical);
             ] );
-        ( "parallel",
-          Obj
-            ([
-               ("benchmark", String "triad");
-               ("n", Int triad_n);
-               ("rounds", Int triad_rounds);
-               ("virtual_mcycles", Float triad_mcycles);
-               ("cores", Int cores);
-               ("sharded_kernels", Int sharded_kernels);
-               ( "legs",
-                 List
-                   (List.map
-                      (fun (d, s, _) ->
-                        Obj
-                          [
-                            ("domains", Int d);
-                            ("run_s", Float s);
-                            ("mcycles_per_s", Float (triad_mcycles /. s));
-                            ( "parallel_efficiency",
-                              Float (triad_efficiency d s) );
-                          ])
-                      parallel_legs) );
-             ]
-            @ (if oversubscribed then
-                 [
-                   ( "note",
-                     String
-                       (Printf.sprintf
-                          "legs with domains > %d core(s) oversubscribe the \
-                           CPU; parallel_efficiency below 1/domains is \
-                           expected"
-                          cores) );
-                 ]
-               else [])
-            @ [ ("outputs_identical", Bool parallel_identical) ]) );
         ( "cache",
           Obj
             [
@@ -602,5 +453,5 @@ int main() {
   Printf.printf "wrote %s\n%!" json_out;
   if
     not
-      (identical && threaded_identical && parallel_identical && dse_identical)
+      (identical && interp_identical && dse_identical)
   then exit 1

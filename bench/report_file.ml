@@ -1,7 +1,7 @@
 (** Shared writer for [BENCH_psaflow.json].
 
     Two harnesses own disjoint top-level sections of the same file:
-    [bench perf] writes the engine sections (interp/parallel/cache/flow)
+    [bench perf] writes the engine sections (interp/cache/flow/dse)
     and [bench svc-load] writes the [service] section.  Each therefore
     merges: existing sections it does not own are preserved verbatim,
     its own are replaced.  A missing or unparseable file degrades to a
@@ -61,9 +61,7 @@ let commit_id () =
     simply absent from the datapoint — the gate skips them. *)
 let gated_paths =
   [
-    [ "interp"; "threaded"; "mcycles_per_s" ];
     [ "interp"; "bytecode"; "mcycles_per_s" ];
-    [ "parallel"; "virtual_mcycles" ];
     [ "dse"; "simulate_call_reduction" ];
     [ "dse"; "guided_warm"; "simulate_calls" ];
     [ "service"; "throughput_rps" ];
@@ -112,7 +110,6 @@ let history_append ~quick () : Perf_history.datapoint =
    not 5% drift (the trend table is for reading drift). *)
 let gate_specs =
   [
-    ("interp.threaded.mcycles_per_s", Perf_history.Higher_better, 0.7);
     ("interp.bytecode.mcycles_per_s", Perf_history.Higher_better, 0.7);
     (* call counts are deterministic, so the guided-DSE saving may never
        shrink below ~the rolling median (0.9 tolerates winner-set churn

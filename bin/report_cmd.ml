@@ -40,7 +40,7 @@ let collect_one (app : Benchmarks.Bench_app.t) : collected =
     decision = Psa.Strategy.fig3_explain c0;
   }
 
-let collect () = Dse.Pool.map collect_one Benchmarks.Registry.all
+let collect () = Flow_par.Pool.map collect_one Benchmarks.Registry.all
 
 let find_result (c : collected) name =
   List.find_opt
@@ -243,14 +243,9 @@ let perf_section () : Json.t * string list =
         ("flow_speedup", pick bench [ "flow"; "speedup" ]);
         ("cached_vs_uncached_flow", pick bench [ "flow"; "cached_vs_uncached_flow" ]);
         ("outputs_identical", pick bench [ "flow"; "outputs_identical" ]);
-        ( "interp_mcycles_per_s",
-          pick bench [ "interp"; "threaded"; "mcycles_per_s" ] );
         ("interp_optimized", pick bench [ "interp"; "optimized" ]);
         ( "interp_bytecode_mcycles_per_s",
           pick bench [ "interp"; "bytecode"; "mcycles_per_s" ] );
-        ( "interp_bytecode_speedup_vs_threaded",
-          pick bench [ "interp"; "bytecode"; "speedup_vs_threaded" ] );
-        ("parallel_outputs_identical", pick bench [ "parallel"; "outputs_identical" ]);
         (* surrogate-guided DSE: exhaustive vs guided-warm analytic-model
            call counts, the resulting saving, and the winner-identity
            check (all from the perf bench's "dse" legs) *)

@@ -124,7 +124,7 @@ let rec run (flow : t) (ctx : Context.t) : Context.t list =
              sub-flows, evaluated by the domain pool (order-preserving,
              so results are identical to the sequential traversal) *)
           List.concat
-            (Dse.Pool.map
+            (Flow_par.Pool.map
                (fun (name, f) ->
                  run f (Context.logf ctx "branch %s -> %s" bp.bp_name name))
                bp.paths)
@@ -138,7 +138,7 @@ let rec run (flow : t) (ctx : Context.t) : Context.t list =
               names
           in
           List.concat
-            (Dse.Pool.map
+            (Flow_par.Pool.map
                (fun (name, f) ->
                  run f
                    (Context.logf ctx "branch %s: PSA selected %s" bp.bp_name

@@ -61,7 +61,7 @@ let ensure_features (ctx : Context.t) : Context.t =
                independent: evaluate both on the domain pool *)
             let f1, f2 =
               match
-                Dse.Pool.map
+                Flow_par.Pool.map
                   (fun thunk -> thunk ())
                   [
                     (fun () -> Analysis.Features.analyze ctx.program ~kernel);

@@ -61,7 +61,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     if not guided then
       (* candidate evaluations are independent: sweep them on the pool
          (order-preserving, so the first-best tie-break is unchanged) *)
-      (Pool.map (fun t -> eval t) candidates, None)
+      (Flow_par.Pool.map (fun t -> eval t) candidates, None)
     else begin
       let cand = Array.of_list candidates in
       let xs =
@@ -87,7 +87,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       if plan.Surrogate.fallback then
         Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_fallbacks";
       let steps =
-        Pool.map
+        Flow_par.Pool.map
           (fun i ->
             if plan.Surrogate.simulate.(i) then eval ~x:xs.(i) cand.(i)
             else

@@ -92,7 +92,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
      incremental exploration. *)
   let guided = Surrogate.active () in
   let evaluated, plan_info =
-    if not guided then (Pool.map (fun n -> (n, eval n)) factors, None)
+    if not guided then (Flow_par.Pool.map (fun n -> (n, eval n)) factors, None)
     else begin
       let cand = Array.of_list factors in
       let xs =
@@ -124,7 +124,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       if plan.Surrogate.fallback then
         Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_fallbacks";
       let evaluated =
-        Pool.map
+        Flow_par.Pool.map
           (fun i ->
             let n = cand.(i) in
             if plan.Surrogate.simulate.(i) then (n, eval ~x:xs.(i) n)

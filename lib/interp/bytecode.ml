@@ -26,16 +26,6 @@
     reorders memory accesses (only strictly adjacent ops fuse), so the
     fused body computes bit-identical values in bit-identical order.
 
-    The selector also classifies each kernel as domain-shardable: a
-    kernel with no loop-carried register dependence (no op reads a
-    register before it is written in the same iteration when the body
-    writes it at all) can have its iteration space split across
-    domains — the remaining per-region memory checks are done at run
-    time by the executor.  Everything observable (cycles, counters,
-    fuel, loop stats) is charged in bulk on the calling domain exactly
-    like the threaded engine's kernel protocol, so outputs stay
-    bit-identical for every domain count.
-
     Selector and lowering statistics are published to
     {!Flow_obs.Metrics.global} as [vm_*] counters. *)
 
@@ -125,7 +115,6 @@ type kprog = {
   kp_lits : (int * float) array;  (** entry: freg <- literal *)
   kp_prefetch : (int * int) array;  (** entry: freg <- invariant site load *)
   kp_fused : bool;  (** the superinstruction selector rewrote the body *)
-  kp_shardable : bool;  (** no loop-carried register dependence *)
 }
 
 (* ================================================================== *)
@@ -140,7 +129,7 @@ type ckind = KDyn | KFlt | KInt
     [tgt] fields hold label ids during lowering and absolute pcs after
     {!lower} resolves them.  Every instruction replays the exact
     charges, counter bumps, fuel spends and error points of the
-    threaded engine (see DESIGN.md §14). *)
+    reference walker (see DESIGN.md §14). *)
 type instr =
   | IFuel
   | ICharge of float
@@ -245,25 +234,6 @@ let rec invariant_idx = function
   | R.IAdd (a, b) | R.ISub (a, b) | R.IMul (a, b) ->
       invariant_idx a && invariant_idx b
   | R.INeg a -> invariant_idx a
-
-let kinstr_writes = function
-  | R.KLit (d, _) | R.KMov (d, _) | R.KAdd (d, _, _) | R.KSub (d, _, _)
-  | R.KMul (d, _, _) | R.KDiv (d, _, _) | R.KNeg (d, _) | R.KItoF d
-  | R.KMath1 (d, _, _) | R.KMath2 (d, _, _, _) | R.KLoad (d, _) ->
-      Some d
-  | R.KStore _ | R.KStoreAdd _ | R.KStoreSub _ | R.KStoreMul _
-  | R.KStoreDiv _ ->
-      None
-
-let kinstr_reads = function
-  | R.KLit _ | R.KItoF _ | R.KLoad _ -> []
-  | R.KMov (_, a) | R.KNeg (_, a) | R.KMath1 (_, _, a) -> [ a ]
-  | R.KAdd (_, a, b) | R.KSub (_, a, b) | R.KMul (_, a, b) | R.KDiv (_, a, b)
-  | R.KMath2 (_, _, a, b) ->
-      [ a; b ]
-  | R.KStore (_, r) | R.KStoreAdd (_, r) | R.KStoreSub (_, r)
-  | R.KStoreMul (_, r) | R.KStoreDiv (_, r) ->
-      [ r ]
 
 let kop_of_kinstr = function
   | R.KLit (d, x) -> OLit (d, x)
@@ -512,33 +482,6 @@ let fuse ~out ops =
   in
   go ops false
 
-(* A kernel is domain-shardable when no register value flows between
-   iterations: every register the body writes is written before it is
-   read within one iteration.  (The loop index and invariant inputs
-   live in [k_in]/per-shard state; memory aliasing between the shards'
-   store ranges is checked at run time by the executor.) *)
-let shardable (k : R.kernel) =
-  let nregs = k.R.k_nfregs in
-  let written_in_body = Array.make (max 1 nregs) false in
-  Array.iter
-    (fun ki ->
-      match kinstr_writes ki with
-      | Some d -> written_in_body.(d) <- true
-      | None -> ())
-    k.R.k_body;
-  let written = Array.make (max 1 nregs) false in
-  let carried = ref false in
-  Array.iter
-    (fun ki ->
-      List.iter
-        (fun r -> if written_in_body.(r) && not written.(r) then carried := true)
-        (kinstr_reads ki);
-      match kinstr_writes ki with
-      | Some d -> written.(d) <- true
-      | None -> ())
-    k.R.k_body;
-  not !carried
-
 (* Hoist single-assignment literal registers (and, in store-free
    kernels, loads through loop-invariant sites) out of the body: they
    are computed once at kernel entry instead of every iteration.  Legal
@@ -589,8 +532,6 @@ let lift_kernel ~hot (k : R.kernel) : kprog =
   let m = Flow_obs.Metrics.global in
   Flow_obs.Metrics.incr m "vm_kernels";
   let plain = Array.map kop_of_kinstr k.R.k_body in
-  let shard = shardable k in
-  if shard then Flow_obs.Metrics.incr m "vm_kernels_shardable";
   if not (hot k.R.k_fsid) then begin
     Flow_obs.Metrics.incr m "vm_kernels_cold";
     {
@@ -599,7 +540,6 @@ let lift_kernel ~hot (k : R.kernel) : kprog =
       kp_lits = [||];
       kp_prefetch = [||];
       kp_fused = false;
-      kp_shardable = shard;
     }
   end
   else begin
@@ -622,7 +562,6 @@ let lift_kernel ~hot (k : R.kernel) : kprog =
       kp_lits = lits;
       kp_prefetch = pref;
       kp_fused = fused;
-      kp_shardable = shard;
     }
   end
 
@@ -1020,8 +959,8 @@ and store_slot ctx vr src =
   | R.Unbound n -> emit ctx (IErrVar n)
 
 (* Declaration-initializer store: the coercion (and its error) happens
-   before an unbound-variable error, exactly like [co (ce ...)] feeding
-   the failing setter in the threaded engine. *)
+   before an unbound-variable error, exactly like the walker's
+   [set_var] of a coerced value. *)
 and store_coerced ctx vr typ src =
   match typ with
   | Minic.Ast.Tint | Minic.Ast.Tfloat | Minic.Ast.Tdouble | Minic.Ast.Tbool

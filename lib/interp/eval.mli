@@ -5,19 +5,14 @@
     design-flow tasks consume.  Deterministic: repeated runs (including
     of instrumented variants) see identical pseudo-random inputs.
 
-    Programs are slot-compiled (see {!Resolve}) and then lowered once
-    more, to two interchangeable engines:
+    Programs are slot-compiled (see {!Resolve}), optimized (see {!Opt})
+    and lowered once more to a {e flat register-bytecode VM} (see
+    {!Bytecode} and DESIGN.md §14) — dense instruction arrays over an
+    integer-register frame, with profile-guided superinstructions inside
+    fused loop kernels.  {!run_compiled} is the one production engine.
 
-    - {e threaded code} — pre-bound closures, one per statement and
-      expression node (the PR-5 engine, kept verbatim);
-    - a {e flat register-bytecode VM} (see {!Bytecode} and DESIGN.md
-      §14) — dense instruction arrays over an integer-register frame,
-      with profile-guided superinstructions inside fused loop kernels
-      and domain-sharded execution of data-parallel loops.
-
-    {!run_compiled} picks the VM unless the [PSAFLOW_NO_VM] environment
-    knob disables it.  All engines (including the original tree walker,
-    kept as {!run_ir}) are bit-identical in every observable: printed
+    The original tree walker is kept as {!run_ir}, the correctness
+    oracle: the VM is bit-identical to it in every observable — printed
     output, return value, the full virtual-cycle profile, loop stats,
     error messages and error points.  The test suite asserts this. *)
 
@@ -28,8 +23,8 @@ type run = {
   return_value : Value.t;
 }
 
-(** A compiled program: the slot IR plus its lazily compiled engine
-    variants (threaded closures and register bytecode). *)
+(** A compiled program: the slot IR plus its lazily lowered register
+    bytecode. *)
 type compiled
 
 (** Run [program] from [main].
@@ -63,48 +58,19 @@ val compile : ?vm_profile:Profile.t -> Minic.Ast.program -> compiled
       hot) *)
 val compile_resolved : ?vm_hot:(int -> bool) -> Resolve.t -> compiled
 
-(** Force every lazily compiled engine variant (threaded plain,
-    threaded tracking, register bytecode).  [Lazy.force] is not safe
-    under concurrent domains, so a [compiled] value shared across
+(** Force the lazily lowered register bytecode.  [Lazy.force] is not
+    safe under concurrent domains, so a [compiled] value shared across
     domains (the compile-stage memo) must be forced eagerly by the
     publishing domain. *)
 val force_engines : compiled -> unit
 
-(** Run an already-compiled program from [main].  Equivalent to {!run}
-    on the source program.  Dispatches to {!run_vm} unless
-    [PSAFLOW_NO_VM] (or {!set_vm_enabled}[ false]) selects
-    {!run_threaded}. *)
+(** Run an already-compiled program from [main] through the register
+    bytecode VM.  Equivalent to {!run} on the source program. *)
 val run_compiled : ?focus:string -> ?fuel:int -> compiled -> run
 
-(** Run an already-compiled program through the register-bytecode VM. *)
-val run_vm : ?focus:string -> ?fuel:int -> compiled -> run
-
-(** Run an already-compiled program through the threaded-code closures
-    (the PR-5 engine, kept verbatim). *)
-val run_threaded : ?focus:string -> ?fuel:int -> compiled -> run
-
-(** Run the slot IR through the reference tree walker (the
-    pre-threaded-code interpreter).  Profiles, outputs and error points
+(** Run the slot IR through the reference tree walker (the original
+    interpreter).  Profiles, outputs and error points
     are bit-identical to {!run_compiled}; counted under the
     [interp_ir_runs] metric instead of [interp_runs].  Exists for
     bit-identity testing and before/after benchmarking. *)
 val run_ir : ?focus:string -> ?fuel:int -> Resolve.t -> run
-
-(** {1 VM execution knobs} *)
-
-(** Whether {!run_compiled} currently dispatches to the VM.  Seeded
-    from the [PSAFLOW_NO_VM] environment knob at startup. *)
-val vm_is_enabled : unit -> bool
-
-(** Override the VM dispatch at run time (tests, benchmarks). *)
-val set_vm_enabled : bool -> unit
-
-(** Worker-domain count for sharded kernel execution.  [None] (the
-    default) defers to the [PSAFLOW_VM_DOMAINS] environment knob, and
-    past that to [min 8 (Domain.recommended_domain_count ())]. *)
-val vm_jobs_override : int option ref
-
-(** Minimum trip count before a shardable kernel is actually split
-    across domains; below it the per-domain setup dwarfs the work.
-    Tests lower this to force sharding on small inputs. *)
-val vm_shard_min : int ref

@@ -22,7 +22,7 @@
 
     The run behind a fused profile executes on the production engine —
     slot IR optimized by {!Opt} (constant folding through kernel
-    specialization), then threaded ({!Eval.compile}).  Every optimizer
+    specialization), then lowered to the register VM ({!Eval.compile}).  Every optimizer
     pass preserves bit-identity with the reference walker
     ({!Eval.run_ir}), so the projections are unaffected by
     [PSAFLOW_NO_OPT] and by which passes ran — asserted per benchmark

@@ -1,5 +1,5 @@
-(** Slot-IR optimizer: the stage between {!Resolve} and the threaded-code
-    compiler of {!Eval}.
+(** Slot-IR optimizer: the stage between {!Resolve} and the bytecode
+    lowering of {!Bytecode}.
 
     Five passes, each individually toggleable and each carrying a
     bit-identity obligation against the reference walker
@@ -33,8 +33,8 @@
     integer-valued doubles below 2{^53} are exact, so [n] bulk-charged
     iterations equal [n] individually charged ones bit-for-bit.
 
-    [PSAFLOW_NO_OPT=1] disables the whole stage (mirroring
-    [PSAFLOW_NO_CACHE]); {!set_enabled} does the same programmatically. *)
+    [PSAFLOW_NO_OPT=1] disables the whole stage (same flag grammar as
+    [PSAFLOW_NO_MEMO]); {!set_enabled} does the same programmatically. *)
 
 module R = Resolve
 module C = Profile.Cost

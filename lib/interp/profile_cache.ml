@@ -29,10 +29,8 @@
     single-flight (concurrent domains asking for the same run block on
     one execution instead of duplicating it) and eviction is true LRU —
     every hit re-stamps the entry.  Capacity is bounded by
-    [PSAFLOW_MEMO_CAP] (default 512 entries); the pre-hierarchy
-    [PSAFLOW_CACHE_CAP] and [PSAFLOW_NO_CACHE] knobs remain as
-    deprecated aliases with a once-per-process warning.  This stage is
-    exempt from [PSAFLOW_NO_MEMO] (it predates the hierarchy, and
+    [PSAFLOW_MEMO_CAP] (default 512 entries).  This stage is exempt
+    from [PSAFLOW_NO_MEMO] (it predates the hierarchy, and
     disabling it would not restore pre-memoization behavior — it would
     regress it).  Hit/miss/eviction counts are mirrored into the
     process-wide metrics registry ({!Flow_obs.Metrics.global}) as
@@ -41,7 +39,7 @@
     span carrying its [hit] outcome.
 
     A second cache level backs the misses: compiled programs (slot IR
-    resolved, optimized, all engine variants forced) are memoized per
+    resolved, optimized, bytecode lowered) are memoized per
     (program digest, optimizer fingerprint) so a profile-stage miss
     that only differs in [focus] — or arrives after an eviction — skips
     resolve/optimize/lower and pays only the interpreter run.  The
@@ -49,51 +47,24 @@
     [PSAFLOW_NO_MEMO] and bypasses itself under the global tracer so
     traced runs keep their [interp.compile] spans. *)
 
-let default_capacity = 512
-
-let initial_capacity =
-  match Sys.getenv_opt "PSAFLOW_CACHE_CAP" with
-  | Some _ ->
-      Flow_obs.Env.warn_once "PSAFLOW_CACHE_CAP#deprecated"
-        "PSAFLOW_CACHE_CAP is deprecated; use PSAFLOW_MEMO_CAP (still \
-         honoring it for the profile stage)";
-      Flow_obs.Env.int ~name:"PSAFLOW_CACHE_CAP" ~default:default_capacity
-        ~min:1 ()
-  | None -> Flow_memo.env_capacity ()
-
-let initially_enabled =
-  match Sys.getenv_opt "PSAFLOW_NO_CACHE" with
-  | Some _ ->
-      Flow_obs.Env.warn_once "PSAFLOW_NO_CACHE#deprecated"
-        "PSAFLOW_NO_CACHE is deprecated; use PSAFLOW_NO_MEMO to disable \
-         the stage-memo hierarchy (PSAFLOW_NO_CACHE still disables the \
-         profile stage alone)";
-      not (Flow_obs.Env.flag ~name:"PSAFLOW_NO_CACHE" ())
-  | None -> true
-
 (* Single shard on purpose: the interpreter run happens outside the
    shard lock, so striping buys nothing here, and one shard keeps the
    LRU eviction order (and the eviction counter) globally exact — the
    accounting the capacity tests pin down. *)
 let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
-    ~cap:initial_capacity ~shards:1 ~trace_bypass:false ~no_memo_exempt:true
-    ()
-
-let () = Flow_memo.Cache.set_enabled cache initially_enabled
+    ~shards:1 ~trace_bypass:false ~no_memo_exempt:true ()
 
 let compile_cache : Eval.compiled Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"compile" ()
 
-(** Change the profile-stage entry bound (also settable via
-    [PSAFLOW_MEMO_CAP], or the deprecated [PSAFLOW_CACHE_CAP]).  Takes
-    effect on the next insertion. *)
+(** Change the profile-stage entry bound (initially [PSAFLOW_MEMO_CAP]).
+    Takes effect on the next insertion. *)
 let set_capacity c =
   if c < 1 then invalid_arg "Profile_cache.set_capacity: capacity must be >= 1";
   Flow_memo.Cache.set_capacity cache c
 
-(** Turn the cache off (analyses fall back to fresh runs) or back on.
-    Also controlled by the deprecated [PSAFLOW_NO_CACHE] env var. *)
+(** Turn the cache off (analyses fall back to fresh runs) or back on. *)
 let set_enabled b = Flow_memo.Cache.set_enabled cache b
 
 (** Drop all entries — profile runs and memoized compiles — keeping
@@ -135,8 +106,8 @@ let key ?focus (p : Minic.Ast.program) =
   Digest.string (Buffer.contents buf)
 
 (** Like {!Eval.compile}, but memoized per (program digest, optimizer
-    fingerprint), with every engine variant forced so the value is
-    safe to share across domains.  Only the no-[vm_profile] compile is
+    fingerprint), with the bytecode forced so the value is safe to share
+    across domains.  Only the no-[vm_profile] compile is
     cacheable — exactly the one {!Eval.run} performs. *)
 let compile (p : Minic.Ast.program) : Eval.compiled =
   let k =

@@ -62,7 +62,7 @@ type callee =
 
 (* The constructors and kernel types below are never produced by
    [compile]; only the slot-IR optimizer ({!Opt}) builds them.  Both
-   execution engines (the threaded compiler and the reference walker in
+   execution engines (the bytecode VM and the reference walker in
    {!Eval}) interpret them, and every one carries enough statically
    counted information to replay the exact counter bumps and dynamic
    cycle charges of the unoptimized form — see DESIGN.md §13. *)

@@ -31,8 +31,9 @@
       an unmemoized run.
     - [PSAFLOW_NO_MEMO=1] disables every cache except those created
       with [~no_memo_exempt:true] (the fused-profile stage, which
-      predates the hierarchy and keeps its own [PSAFLOW_NO_CACHE]
-      kill-switch), restoring pre-memoization behavior bit-for-bit.
+      predates the hierarchy and is switched programmatically by
+      [Profile_cache.set_enabled]), restoring pre-memoization behavior
+      bit-for-bit.
     - [PSAFLOW_MEMO_CAP] (default 512) bounds each cache's entry
       count; [PSAFLOW_MEMO_SHARDS] (default 8) sets the lock-striping
       width.  Both follow the hardened {!Flow_obs.Env} grammar.

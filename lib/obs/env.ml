@@ -1,6 +1,6 @@
 (** Hardened environment-knob parsing.
 
-    The engine's tuning knobs ([PSAFLOW_JOBS], [PSAFLOW_CACHE_CAP],
+    The engine's tuning knobs ([PSAFLOW_JOBS], [PSAFLOW_MEMO_CAP],
     [PSAFLOW_SERVICE_WORKERS], ...) are positive integers.  Reading them
     with a bare [int_of_string_opt] silently accepted zero and negative
     values — each call site then "handled" them differently (ignore,
@@ -53,10 +53,11 @@ let int ~name ~default ~min () =
   match int_opt ~name ~min () with Some v -> v | None -> default
 
 (** Read boolean kill-switch knob [name]: true iff the variable is set
-    to ["1"], ["true"] or ["yes"] (the [PSAFLOW_NO_CACHE] convention,
-    shared by [PSAFLOW_NO_OPT]).  Any other value — including empty —
-    leaves the switch off, with a once-per-process warning so a typo'd
-    [PSAFLOW_NO_OPT=on] does not silently run the optimizer. *)
+    to ["1"], ["true"] or ["yes"] (the convention shared by
+    [PSAFLOW_NO_MEMO], [PSAFLOW_NO_OPT] and [PSAFLOW_NO_SURROGATE]).
+    Any other value — including empty — leaves the switch off, with a
+    once-per-process warning so a typo'd [PSAFLOW_NO_OPT=on] does not
+    silently run the optimizer. *)
 let flag ~name () =
   match Sys.getenv_opt name with
   | None -> false

@@ -30,13 +30,18 @@ let render_report (results : Devices.Simulate.result list) : string =
   in
   table ^ best
 
+(* JSON has no nan/infinity: a non-finite float (an infeasible design's
+   time and speedup, an unbounded piece of evidence) is served as its
+   display string, so every payload encodes. *)
+let float_json f : Json.t =
+  if Float.is_finite f then Json.Float f
+  else Json.String (Flow_obs.Attr.to_display (Flow_obs.Attr.Float f))
+
 let attr_json (v : Flow_obs.Attr.value) : Json.t =
   match v with
   | Flow_obs.Attr.Bool b -> Json.Bool b
   | Flow_obs.Attr.Int i -> Json.Int i
-  | Flow_obs.Attr.Float f ->
-      if Float.is_finite f then Json.Float f
-      else Json.String (Flow_obs.Attr.to_display v)
+  | Flow_obs.Attr.Float f -> float_json f
   | Flow_obs.Attr.String s -> Json.String s
 
 let decision_json (d : Flow_obs.Provenance.decision) : Json.t =
@@ -67,8 +72,8 @@ let result_json (r : Devices.Simulate.result) : Json.t =
       ( "device",
         Json.String (Devices.Spec.name (Devices.Spec.find r.design.device_id)) );
       ("target", Json.String (Codegen.Design.target_framework r.design.target));
-      ("seconds", Json.Float r.seconds);
-      ("speedup", Json.Float r.speedup);
+      ("seconds", float_json r.seconds);
+      ("speedup", float_json r.speedup);
       ("feasible", Json.Bool r.feasible);
       ("synthesizable", Json.Bool r.design.synthesizable);
     ]

@@ -207,20 +207,32 @@ let handle_connection t fd =
         Protocol.write_response fd resp;
         if req = Protocol.Shutdown then begin_shutdown t else loop ()
   in
-  (try loop () with
-  | Protocol.Frame_error fe -> (
+  (* a response is encoded in full before any byte is written, so after
+     a failure the peer can still be sent one well-formed error frame *)
+  let reply_error e =
+    try Protocol.write_response fd (Protocol.Error e) with _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Mutex.lock t.stop_lock;
+      t.connections <- t.connections - 1;
+      Metrics.set_gauge t.metrics "connections_active"
+        (float_of_int t.connections);
+      Mutex.unlock t.stop_lock)
+  @@ fun () ->
+  try loop () with
+  | Protocol.Frame_error fe ->
       Metrics.incr t.metrics "requests_malformed";
-      try
-        Protocol.write_response fd
-          (Protocol.Error
-             (Protocol.Bad_request (Protocol.frame_error_message fe)))
-      with _ -> ())
-  | Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.stop_lock;
-  t.connections <- t.connections - 1;
-  Metrics.set_gauge t.metrics "connections_active" (float_of_int t.connections);
-  Mutex.unlock t.stop_lock
+      reply_error (Protocol.Bad_request (Protocol.frame_error_message fe))
+  | Unix.Unix_error _ | Sys_error _ -> ()
+  | e ->
+      (* a handler bug must not leak the connection slot or leave the
+         client waiting on a socket nobody will answer *)
+      let msg = Printexc.to_string e in
+      Metrics.incr t.metrics "requests_internal_error";
+      Flow_obs.Log.errorf "daemon: request handler failed: %s" msg;
+      reply_error (Protocol.Server_error msg)
 
 (* Over the cap: answer the very first frame with [Server_busy] and
    close.  The client sees a typed error, not a hang or a reset. *)

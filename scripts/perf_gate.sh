@@ -7,11 +7,10 @@
 #
 # Fails when:
 #   - any outputs_identical check in the fresh BENCH_psaflow.json is
-#     false (an engine, optimizer pass, domain-sharded run or a daemon
-#     result diverged from the reference bytes), or
+#     false (a VM run, optimizer pass, flow leg or a daemon result
+#     diverged from the reference bytes), or
 #   - a gated metric regressed against the rolling median of the last
 #     K comparable (quick-scale, other-commit) history entries:
-#       interp.threaded.mcycles_per_s   >= 70% of median
 #       interp.bytecode.mcycles_per_s   >= 70% of median
 #       dse.simulate_call_reduction     >= 90% of median
 #       service.throughput_rps          >= 50% of median

@@ -355,11 +355,11 @@ let bezier = List.nth Benchmarks.Registry.all 2 (* smallest benchmark *)
    byte-determinism holds per parsed workload (each [psaflow run]
    invocation is a fresh process and parses identically). *)
 let traced_informed_run ctx =
-  let saved = !Dse.Pool.override in
-  Dse.Pool.override := Some 1;
+  let saved = !Flow_par.Pool.override in
+  Flow_par.Pool.override := Some 1;
   Fun.protect
     ~finally:(fun () ->
-      Dse.Pool.override := saved;
+      Flow_par.Pool.override := saved;
       Trace.stop ())
   @@ fun () ->
   Minic_interp.Profile_cache.clear ();
@@ -541,7 +541,7 @@ let test_env_production_knobs () =
   Fun.protect
     ~finally:(fun () -> Unix.putenv "PSAFLOW_JOBS" "1")
     (fun () ->
-      check_int "PSAFLOW_JOBS=0 clamps to 1 job" 1 (Dse.Pool.jobs ()))
+      check_int "PSAFLOW_JOBS=0 clamps to 1 job" 1 (Flow_par.Pool.jobs ()))
 
 (* ------------------------------------------------------------------ *)
 

@@ -17,9 +17,9 @@ let with_cache_off f =
   Fun.protect ~finally:(fun () -> set_cache true; cache ()) f
 
 let with_jobs n f =
-  let saved = !Dse.Pool.override in
-  Dse.Pool.override := Some n;
-  Fun.protect ~finally:(fun () -> Dse.Pool.override := saved) f
+  let saved = !Flow_par.Pool.override in
+  Flow_par.Pool.override := Some n;
+  Fun.protect ~finally:(fun () -> Flow_par.Pool.override := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs uncached analyses                                         *)
@@ -130,19 +130,19 @@ let pool_order () =
       Alcotest.(check (list int))
         (Printf.sprintf "map with %d jobs preserves order" jobs)
         expect
-        (Dse.Pool.map ~jobs (fun x -> (2 * x) + 1) xs))
+        (Flow_par.Pool.map ~jobs (fun x -> (2 * x) + 1) xs))
     [ 1; 2; 4; 7 ]
 
 let pool_exception () =
   Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
       ignore
-        (Dse.Pool.map ~jobs:4
+        (Flow_par.Pool.map ~jobs:4
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 20 Fun.id)))
 
 let pool_jobs_env () =
   with_jobs 3 (fun () ->
-      Alcotest.(check int) "override wins" 3 (Dse.Pool.jobs ()))
+      Alcotest.(check int) "override wins" 3 (Flow_par.Pool.jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel DSE = sequential DSE (qcheck)                              *)
@@ -271,7 +271,7 @@ let check_fused_focus (b : Benchmarks.Bench_app.t) () =
     "kernel observations identical" true
     (legacy.profile.kernel = I.Fused_profile.kernel_obs fused);
   (* project each analysis from the legacy walker run and compare with
-     the production (threaded, cached) analysis entry points *)
+     the production (VM, cached) analysis entry points *)
   let of_legacy = I.Fused_profile.of_run ~focus:kernel ex legacy in
   let dio = with_cache_off (fun () -> Analysis.Data_inout.analyze ex ~kernel) in
   Alcotest.(check bool)
@@ -506,24 +506,26 @@ int main() {
 
 let program_arb = QCheck.make ~print:Fun.id program_gen
 
-(* The threaded-code engine must be indistinguishable from the reference
-   tree walker — identical profile, counters, loop stats, kernel
-   observations, output and return value — bare and kernel-focused; and
-   timer instrumentation must cost nothing on either engine. *)
-let engine_equivalence_prop =
-  QCheck.Test.make ~count:30 ~name:"threaded = walker on generated programs"
-    program_arb (fun src ->
+(* The production engine ([Eval.run]: optimize, lower, run the VM) must
+   be indistinguishable from the reference tree walker — identical
+   profile, counters, loop stats, kernel observations, output and return
+   value — bare and kernel-focused; and timer instrumentation must cost
+   nothing. *)
+let production_engine_prop =
+  QCheck.Test.make ~count:30
+    ~name:"production engine = walker on generated programs" program_arb
+    (fun src ->
       let p = Minic.Parser.parse_program src in
       let walker = I.Eval.run_ir (I.Resolve.compile p) in
-      let threaded = I.Eval.run p in
-      let bare_ok = run_fingerprint walker = run_fingerprint threaded in
+      let prod = I.Eval.run p in
+      let bare_ok = run_fingerprint walker = run_fingerprint prod in
       let fwalker = I.Eval.run_ir ~focus:"work" (I.Resolve.compile p) in
-      let fthreaded = I.Eval.run ~focus:"work" p in
-      let focus_ok = run_fingerprint fwalker = run_fingerprint fthreaded in
+      let fprod = I.Eval.run ~focus:"work" p in
+      let focus_ok = run_fingerprint fwalker = run_fingerprint fprod in
       let instr = I.Eval.run (Analysis.Hotspot.instrument p) in
       let instr_ok =
-        instr.profile.cycles = threaded.profile.cycles
-        && instr.output = threaded.output
+        instr.profile.cycles = prod.profile.cycles
+        && instr.output = prod.output
       in
       if not bare_ok then QCheck.Test.fail_report "bare run diverges";
       if not focus_ok then QCheck.Test.fail_report "focused run diverges";
@@ -592,7 +594,7 @@ let check_opt_identity (b : Benchmarks.Bench_app.t) () =
         (run_fingerprint focused = fwalker))
     pass_configs
 
-(* [PSAFLOW_NO_OPT] mirrors [PSAFLOW_NO_CACHE]: the shared flag parser
+(* [PSAFLOW_NO_OPT] follows the shared kill-switch grammar: the flag parser
    accepts 1/true/yes only, and [Opt.set_enabled false] makes
    [Eval.compile] skip the optimizer entirely — observable through the
    published opt_* counters — without changing any run observable. *)
@@ -663,12 +665,12 @@ let opt_tests =
     ]
 
 (* ================================================================== *)
-(* Register-bytecode VM (Eval.run_vm / Bytecode)                       *)
+(* Register-bytecode VM (Eval.run_compiled / Bytecode)                 *)
 (* ================================================================== *)
 
-(* The VM obligation over generated programs: both lowered engines —
-   the bytecode VM and the threaded closures — must match the reference
-   walker on every observable, bare and kernel-focused. *)
+(* The VM obligation over generated programs, on the unoptimized IR:
+   the bytecode VM must match the reference walker on every observable,
+   bare and kernel-focused. *)
 let vm_equivalence_prop =
   QCheck.Test.make ~count:30
     ~name:"bytecode VM = walker on generated programs" program_arb
@@ -678,43 +680,36 @@ let vm_equivalence_prop =
       let walker = run_fingerprint (I.Eval.run_ir ir) in
       let fwalker = run_fingerprint (I.Eval.run_ir ~focus:"work" ir) in
       let c = I.Eval.compile_resolved ir in
-      if run_fingerprint (I.Eval.run_vm c) <> walker then
+      if run_fingerprint (I.Eval.run_compiled c) <> walker then
         QCheck.Test.fail_report "vm: bare run diverges";
-      if run_fingerprint (I.Eval.run_vm ~focus:"work" c) <> fwalker then
+      if run_fingerprint (I.Eval.run_compiled ~focus:"work" c) <> fwalker then
         QCheck.Test.fail_report "vm: focused run diverges";
-      if run_fingerprint (I.Eval.run_threaded c) <> walker then
-        QCheck.Test.fail_report "threaded: bare run diverges";
-      if run_fingerprint (I.Eval.run_threaded ~focus:"work" c) <> fwalker
-      then QCheck.Test.fail_report "threaded: focused run diverges";
       true)
 
 (* Per-benchmark bit-identity of the VM against the walker, across the
-   superinstruction selector (on/off) and worker-domain counts (1/2/4,
-   with [vm_shard_min] lowered so benchmark-sized loops actually
-   shard). *)
+   superinstruction selector (on/off) and 1/2/4 worker domains: the flow
+   fan-out runs one memoized [compiled] value on several domains at once
+   (see [Eval.force_engines]), so every concurrent run must match. *)
 let check_vm_identity (b : Benchmarks.Bench_app.t) () =
   let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
   let ir_opt = I.Opt.optimize (I.Resolve.compile p) in
   let walker = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)) in
-  let saved_jobs = !I.Eval.vm_jobs_override in
-  let saved_min = !I.Eval.vm_shard_min in
-  Fun.protect ~finally:(fun () ->
-      I.Eval.vm_jobs_override := saved_jobs;
-      I.Eval.vm_shard_min := saved_min)
-  @@ fun () ->
-  I.Eval.vm_shard_min := 1;
   List.iter
     (fun (sel, hot) ->
       let c = I.Eval.compile_resolved ~vm_hot:hot ir_opt in
+      I.Eval.force_engines c;
       List.iter
         (fun domains ->
-          I.Eval.vm_jobs_override := Some domains;
-          let r = I.Eval.run_vm c in
+          let runs =
+            Flow_par.Pool.map ~jobs:domains
+              (fun _ -> run_fingerprint (I.Eval.run_compiled c))
+              (List.init domains Fun.id)
+          in
           Alcotest.(check bool)
             (Printf.sprintf "superinstructions %s, %d domains: identical" sel
                domains)
             true
-            (run_fingerprint r = walker))
+            (List.for_all (( = ) walker) runs))
         [ 1; 2; 4 ])
     [ ("on", fun _ -> true); ("off", fun _ -> false) ]
 
@@ -755,10 +750,9 @@ int main() {
 |}
 
 (* The selector on a fixed program: hot kernels shrink (superinstruction
-   fusion fired), the fused bodies cover fewer micro-ops than the
-   original kinstr stream, and the data-parallel loop is recognized as
-   shardable; with everything cold, bodies lower 1:1 and nothing is
-   marked fused. *)
+   fusion fired) — the fused bodies cover fewer micro-ops than the
+   original kinstr stream; with everything cold, bodies lower 1:1 and
+   nothing is marked fused. *)
 let vm_selector_fuses () =
   let kps = vm_lowered_kernels ~hot:(fun _ -> true) vm_triad_src in
   Alcotest.(check bool) "kernels lowered" true (List.length kps >= 2);
@@ -768,9 +762,7 @@ let vm_selector_fuses () =
       let after = Array.length kp.I.Bytecode.kp_ops in
       Alcotest.(check bool) "hot kernel marked fused" true
         kp.I.Bytecode.kp_fused;
-      Alcotest.(check bool) "fusion shrank the body" true (after < before);
-      Alcotest.(check bool) "shardable: no loop-carried register dep" true
-        kp.I.Bytecode.kp_shardable)
+      Alcotest.(check bool) "fusion shrank the body" true (after < before))
     kps;
   let cold = vm_lowered_kernels ~hot:(fun _ -> false) vm_triad_src in
   List.iter
@@ -808,33 +800,6 @@ let vm_hot_of_profile () =
   let empty = I.Bytecode.hot_of_profile (I.Profile.create ()) in
   Alcotest.(check bool) "no cycle data: everything hot" true (empty dominant)
 
-(* [PSAFLOW_NO_VM] mirrors [PSAFLOW_NO_OPT]: [Eval.set_vm_enabled false]
-   routes [run_compiled] back to the threaded closures — observable
-   through the [interp_vm_runs] counter — without changing any run
-   observable.  (The shared 1/true/yes flag grammar is covered by
-   [opt_kill_switch].) *)
-let vm_kill_switch () =
-  let was = I.Eval.vm_is_enabled () in
-  Fun.protect ~finally:(fun () -> I.Eval.set_vm_enabled was) @@ fun () ->
-  let b = List.nth Benchmarks.Registry.all 1 (* nbody *) in
-  let p = Benchmarks.Bench_app.program b ~n:b.profile_n in
-  let walker = run_fingerprint (I.Eval.run_ir (I.Resolve.compile p)) in
-  let c = I.Eval.compile p in
-  let vm_runs () =
-    Flow_obs.Metrics.counter_value Flow_obs.Metrics.global "interp_vm_runs"
-  in
-  I.Eval.set_vm_enabled false;
-  let c0 = vm_runs () in
-  let off = I.Eval.run_compiled c in
-  Alcotest.(check int) "VM skipped when disabled" c0 (vm_runs ());
-  I.Eval.set_vm_enabled true;
-  let on = I.Eval.run_compiled c in
-  Alcotest.(check bool) "VM ran when enabled" true (vm_runs () > c0);
-  Alcotest.(check bool)
-    "disabled run = walker" true
-    (run_fingerprint off = walker);
-  Alcotest.(check bool) "enabled run = walker" true (run_fingerprint on = walker)
-
 let vm_tests =
   List.map
     (fun (b : Benchmarks.Bench_app.t) ->
@@ -844,7 +809,6 @@ let vm_tests =
   @ [
       Alcotest.test_case "selector fuses hot kernels" `Quick vm_selector_fuses;
       Alcotest.test_case "hot_of_profile thresholds" `Quick vm_hot_of_profile;
-      Alcotest.test_case "kill switch" `Quick vm_kill_switch;
       QCheck_alcotest.to_alcotest vm_equivalence_prop;
     ]
 
@@ -1006,7 +970,7 @@ let () =
         ] );
       ("fused", fused_tests);
       ("optimizer", opt_tests);
-      ("engine", [ QCheck_alcotest.to_alcotest engine_equivalence_prop ]);
+      ("engine", [ QCheck_alcotest.to_alcotest production_engine_prop ]);
       ("vm", vm_tests);
       ( "dse-parallel",
         [

@@ -1061,6 +1061,46 @@ let test_end_to_end () =
           Alcotest.failf "metrics: %s"
             (Json.to_string (Protocol.response_to_json other)))
 
+(* Uninformed rush_larsen yields infeasible designs whose time and
+   speedup are infinite.  Their result must still encode, reach the
+   client well within a bound, and match in-process execution byte for
+   byte — report and structured data alike. *)
+let test_non_finite_end_to_end () =
+  let s =
+    Protocol.submission ~mode:Protocol.Uninformed (Protocol.Bench "rush_larsen")
+  in
+  let direct =
+    match Flow_exec.resolve s with
+    | Ok r -> r.Flow_exec.run ~request_id:None ()
+    | Error _ -> Alcotest.fail "rush_larsen did not resolve"
+  in
+  check "some design time is non-finite" true
+    (contains (Json.to_string direct.Protocol.data) "\"inf\"");
+  with_daemon (fun addr ->
+      let job_id =
+        match Client.rpc ~timeout_ms:60_000 addr (Protocol.Submit_flow s) with
+        | Protocol.Submitted { job_id; _ } -> job_id
+        | other ->
+            Alcotest.failf "submit: %s"
+              (Json.to_string (Protocol.response_to_json other))
+      in
+      let done_ () =
+        match Client.rpc ~timeout_ms:60_000 addr (Protocol.Job_status job_id) with
+        | Protocol.Status v -> v.Protocol.state = Protocol.Done
+        | _ -> false
+      in
+      check "job done within 60 s" true (wait_until ~timeout_s:60.0 done_);
+      match Client.rpc ~timeout_ms:60_000 addr (Protocol.Fetch_result job_id) with
+      | Protocol.Result (_, r) ->
+          check_str "report = in-process" direct.Protocol.report
+            r.Protocol.report;
+          check_str "data = in-process"
+            (Json.to_string direct.Protocol.data)
+            (Json.to_string r.Protocol.data)
+      | other ->
+          Alcotest.failf "fetch: %s"
+            (Json.to_string (Protocol.response_to_json other)))
+
 (* The [explain] field served by the daemon must be exactly the decision
    provenance a direct in-process run records, and a traced submission
    must come back with an embedded Chrome trace document. *)
@@ -1417,6 +1457,8 @@ let () =
           Alcotest.test_case "request-id trace end-to-end" `Quick
             test_request_id_trace_end_to_end;
           Alcotest.test_case "end-to-end vs direct flow" `Slow test_end_to_end;
+          Alcotest.test_case "non-finite design times end-to-end" `Slow
+            test_non_finite_end_to_end;
           Alcotest.test_case "explain and per-job trace" `Slow
             test_explain_and_trace;
         ] );
