@@ -349,7 +349,7 @@ module Repository = struct
            too — into a per-design "final" model, never the sweep
            models, so sweep memos stay authoritative for their own
            objective *)
-        if Flow_surrogate.Surrogate.active () then
+        if Flow_surrogate.Surrogate.enabled () then
           Flow_surrogate.Surrogate.observe ("final:" ^ d.name)
             ~x:
               (Flow_surrogate.Featvec.extract ~design:d ~unroll:d.unroll_factor

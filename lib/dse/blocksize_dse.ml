@@ -68,7 +68,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       feasible = r.feasible;
     }
   in
-  let guided = Surrogate.active () in
+  let guided = Surrogate.enabled () in
   let steps, plan_info =
     if not guided then
       (* candidate evaluations are independent: sweep them on the pool
@@ -140,11 +140,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       if !won then
         Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_hit_topk"
   | _ -> ());
-  (* recorded whenever the knob is on — including traced runs, where the
-     sweep itself stays exhaustive — so explain output depends only on
-     configuration, never on tracing or model warmth *)
+  (* recorded on every guided sweep, traced or not, so explain output
+     depends only on configuration, never on tracing or model warmth *)
   let decision =
-    if not (Surrogate.enabled ()) then None
+    if not guided then None
     else
       Some
         (Surrogate.decision ~design_name:design.name ~sweep:"blocksize"

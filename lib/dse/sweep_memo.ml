@@ -18,11 +18,11 @@
     previous request's.
 
     The caches follow the hierarchy rules ([PSAFLOW_NO_MEMO],
-    [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], tracer bypass, metrics
-    under [memo_dse_*]).  A hit skips the analytic model calls and the
-    surrogate observations of the sweep, so [dse_simulate_calls] and
-    the surrogate training counters advance only on misses —
-    harnesses that *measure* sweep cost (the perf bench's DSE section,
+    [PSAFLOW_MEMO_CAP], [PSAFLOW_MEMO_SHARDS], [memo.dse_*] trace
+    instants, metrics under [memo_dse_*]).  A hit skips the analytic
+    model calls and the surrogate observations of the sweep, so
+    [dse_simulate_calls] and the surrogate training counters advance
+    only on misses — harnesses that *measure* sweep cost (the perf bench's DSE section,
     the surrogate test-suite) disable the sweep memo via
     {!set_enabled} so their counter arithmetic keeps measuring the
     model, not the cache. *)

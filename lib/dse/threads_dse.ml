@@ -5,7 +5,7 @@
     selects the maximum available threads (32 on the EPYC 7543), yielding
     the 28-30x Fig. 5 CPU bars.
 
-    When the surrogate is active ({!Flow_surrogate.Surrogate.active})
+    When the surrogate is enabled ({!Flow_surrogate.Surrogate.enabled})
     the sweep is guided: every candidate is scored by the learned model
     first and the analytic CPU model runs only for the surrogate-ranked
     top-k plus every candidate without a certain (memo-exact)
@@ -56,7 +56,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
     | None -> ());
     { threads = t; seconds = r.t_parallel; speedup = r.speedup }
   in
-  let guided = Surrogate.active () in
+  let guided = Surrogate.enabled () in
   let steps, plan_info =
     if not guided then
       (* candidate evaluations are independent: sweep them on the pool
@@ -119,11 +119,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       if !won then
         Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_hit_topk"
   | _ -> ());
-  (* recorded whenever the knob is on — including traced runs, where the
-     sweep itself stays exhaustive — so explain output depends only on
-     configuration, never on tracing or model warmth *)
+  (* recorded on every guided sweep, traced or not, so explain output
+     depends only on configuration, never on tracing or model warmth *)
   let decision =
-    if not (Surrogate.enabled ()) then None
+    if not guided then None
     else
       Some
         (Surrogate.decision ~design_name:design.name ~sweep:"threads"

@@ -90,7 +90,7 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
      doubling-until-overmap walk is reconstructed over the results.
      [chosen_factor] and [steps] are therefore bit-identical to the
      incremental exploration. *)
-  let guided = Surrogate.active () in
+  let guided = Surrogate.enabled () in
   let evaluated, plan_info =
     if not guided then (Flow_par.Pool.map (fun n -> (n, eval n)) factors, None)
     else begin
@@ -162,11 +162,10 @@ let run_uncached (design : Codegen.Design.t) (features : Analysis.Features.t) :
       if !won then
         Flow_obs.Metrics.incr Flow_obs.Metrics.global "surrogate_hit_topk"
   | _ -> ());
-  (* recorded whenever the knob is on — including traced runs, where the
-     sweep itself stays exhaustive — so explain output depends only on
-     configuration, never on tracing or model warmth *)
+  (* recorded on every guided sweep, traced or not, so explain output
+     depends only on configuration, never on tracing or model warmth *)
   let decision ~chosen ~synthesizable =
-    if not (Surrogate.enabled ()) then None
+    if not guided then None
     else
       Some
         (Surrogate.decision ~design_name:design.name ~sweep:"unroll"

@@ -35,8 +35,8 @@
     regress it).  Hit/miss/eviction counts are mirrored into the
     process-wide metrics registry ({!Flow_obs.Metrics.global}) as
     [profile_cache_hits]/[profile_cache_misses]/
-    [profile_cache_evictions], and every cache consultation is a trace
-    span carrying its [hit] outcome.
+    [profile_cache_evictions], and every consultation emits the
+    hierarchy's [memo.profile] trace instant with its outcome.
 
     A second cache level backs the misses: compiled programs (slot IR
     resolved, optimized, bytecode lowered) are memoized per
@@ -44,8 +44,8 @@
     that only differs in [focus] — or arrives after an eviction — skips
     resolve/optimize/lower and pays only the interpreter run.  The
     compile stage follows the normal hierarchy rules: it honors
-    [PSAFLOW_NO_MEMO] and bypasses itself under the global tracer so
-    traced runs keep their [interp.compile] spans. *)
+    [PSAFLOW_NO_MEMO], and a traced run shows its [memo.compile]
+    instants, with [interp.compile] spans only for the misses. *)
 
 (* Single shard on purpose: the interpreter run happens outside the
    shard lock, so striping buys nothing here, and one shard keeps the
@@ -53,7 +53,7 @@
    accounting the capacity tests pin down. *)
 let cache : Eval.run Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"profile" ~metric_prefix:"profile_cache"
-    ~shards:1 ~trace_bypass:false ~no_memo_exempt:true ()
+    ~shards:1 ~no_memo_exempt:true ()
 
 let compile_cache : Eval.compiled Flow_memo.Cache.t =
   Flow_memo.Cache.create ~name:"compile" ()
@@ -124,9 +124,5 @@ let compile (p : Minic.Ast.program) : Eval.compiled =
 let run ?focus (p : Minic.Ast.program) : Eval.run =
   if not (Flow_memo.Cache.active cache) then Eval.run ?focus p
   else
-    Flow_obs.Trace.with_span ~cat:"interp" "profile_cache.run" @@ fun () ->
-    let k = key ?focus p in
-    Flow_memo.Cache.find_or_compute cache ~key:k
-      ~on:(fun hit ->
-        Flow_obs.Trace.add_args [ ("hit", Flow_obs.Attr.Bool hit) ])
-      (fun () -> Eval.run_compiled ?focus (compile p))
+    Flow_memo.Cache.find_or_compute cache ~key:(key ?focus p) (fun () ->
+        Eval.run_compiled ?focus (compile p))

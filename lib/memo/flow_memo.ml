@@ -24,11 +24,11 @@
       are treated as read-only by every consumer).
     - Eviction is true LRU: every hit re-stamps the entry, using a
       lazy-deletion stamp queue so hits cost O(1) amortized.
-    - Caches whose artifacts would swallow trace spans (everything
-      except the fused-profile stage, whose span structure predates
-      this module) bypass themselves while the global tracer is
-      recording, so a [--trace] run's span tree is byte-identical to
-      an unmemoized run.
+    - Tracing records the memoized execution and never changes it:
+      every lookup of an active cache emits one [memo.<name>] instant
+      (category [memo], argument [outcome] = [hit], [miss] or [wait]
+      for a single-flight waiter), so a [--trace] export or a daemon
+      request recording shows which stages were served from cache.
     - [PSAFLOW_NO_MEMO=1] disables every cache except those created
       with [~no_memo_exempt:true] (the fused-profile stage, which
       predates the hierarchy and is switched programmatically by
@@ -87,9 +87,8 @@ module Cache = struct
   }
 
   type 'a t = {
-    name : string;
     metric_prefix : string;
-    trace_bypass : bool;
+    event : string;  (** trace instant name, [memo.<name>] *)
     no_memo_exempt : bool;
     mutable capacity : int; (* total across shards *)
     mutable enabled : bool;
@@ -112,20 +111,17 @@ module Cache = struct
 
   (** [create ~name ()] makes a stage cache.  [cap] defaults to
       [PSAFLOW_MEMO_CAP]; [shards] to [PSAFLOW_MEMO_SHARDS].
-      [trace_bypass] (default true) computes fresh while the global
-      tracer records so memo hits cannot swallow spans;
       [no_memo_exempt] (default false) opts the cache out of
       [PSAFLOW_NO_MEMO] (only the pre-existing fused-profile stage
       does this — it keeps its own kill-switch). *)
-  let create ~name ?cap ?shards ?(trace_bypass = true)
-      ?(no_memo_exempt = false) ?metric_prefix () : 'a t =
+  let create ~name ?cap ?shards ?(no_memo_exempt = false) ?metric_prefix ()
+      : 'a t =
     let cap = match cap with Some c -> max 1 c | None -> env_capacity () in
     let n = match shards with Some s -> max 1 s | None -> env_shards () in
     {
-      name;
       metric_prefix =
         (match metric_prefix with Some p -> p | None -> "memo_" ^ name);
-      trace_bypass;
+      event = "memo." ^ name;
       no_memo_exempt;
       capacity = cap;
       enabled = true;
@@ -140,11 +136,16 @@ module Cache = struct
 
   (** Whether a lookup right now would consult the table at all. *)
   let active t =
-    t.enabled
-    && (t.no_memo_exempt || Atomic.get globally_enabled)
-    && not (t.trace_bypass && Flow_obs.Trace.is_enabled ())
+    t.enabled && (t.no_memo_exempt || Atomic.get globally_enabled)
 
   let gincr name = Flow_obs.Metrics.incr Flow_obs.Metrics.global name
+
+  (* [outcome] arguments of the per-lookup trace instant, allocated once *)
+  let hit_args = [ ("outcome", Flow_obs.Attr.String "hit") ]
+  let miss_args = [ ("outcome", Flow_obs.Attr.String "miss") ]
+  let wait_args = [ ("outcome", Flow_obs.Attr.String "wait") ]
+
+  let record t args = Flow_obs.Trace.instant ~cat:"memo" ~args t.event
 
   let shard_of t key =
     let n = Array.length t.shards in
@@ -195,21 +196,20 @@ module Cache = struct
       publishes (single-flight).  [f] runs outside the shard lock.  An
       exception from [f] is re-raised to the computing caller and
       unblocks the waiters, which retry (nothing is cached, so error
-      paths behave exactly as without memoization).  [on] (if given)
-      observes the outcome: [true] for a hit — including a
-      single-flight wait — [false] for a computing miss; it is not
-      called when the cache is bypassed. *)
-  let find_or_compute (t : 'a t) ?on ~key (f : unit -> 'a) : 'a =
+      paths behave exactly as without memoization).  Each lookup
+      emits its [memo.<name>] trace instant: [hit], [wait] (a hit
+      after blocking on another domain's computation) or [miss]
+      (emitted before [f] runs, so [f]'s spans follow it). *)
+  let find_or_compute (t : 'a t) ~key (f : unit -> 'a) : 'a =
     if not (active t) then f ()
     else begin
       let sh = shard_of t key in
-      let report b = match on with Some g -> g b | None -> () in
       let rec acquire ~waited =
         match Hashtbl.find_opt sh.table key with
         | Some e ->
             touch_locked sh key e;
             sh.hits <- sh.hits + 1;
-            `Hit e.value
+            `Hit (e.value, waited)
         | None ->
             if Hashtbl.mem sh.inflight key then begin
               if not waited then sh.single_flight <- sh.single_flight + 1;
@@ -226,13 +226,13 @@ module Cache = struct
       let outcome = acquire ~waited:false in
       Mutex.unlock sh.lock;
       match outcome with
-      | `Hit v ->
+      | `Hit (v, waited) ->
           gincr (t.metric_prefix ^ "_hits");
-          report true;
+          record t (if waited then wait_args else hit_args);
           v
       | `Compute -> (
           gincr (t.metric_prefix ^ "_misses");
-          report false;
+          record t miss_args;
           match f () with
           | v ->
               Mutex.lock sh.lock;

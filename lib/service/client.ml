@@ -127,9 +127,8 @@ let submit (c : conn) (s : Protocol.submission) :
   | Protocol.Error e -> (rid, Error e)
   | _ -> fail "unexpected response to submit_flow"
 
-(** Submit a whole batch in one frame (protocol v2; since v3 every item
-    without a request id gets a client-minted one).  Per-item results
-    in submission order. *)
+(** Submit a whole batch in one frame (every item without a request id
+    gets a client-minted one).  Per-item results in submission order. *)
 let submit_batch (c : conn) (subs : Protocol.submission list) :
     Protocol.batch_submit_item list =
   let subs = List.map with_request_id subs in
@@ -138,7 +137,7 @@ let submit_batch (c : conn) (subs : Protocol.submission list) :
   | Protocol.Error e -> raise (Protocol_failure e)
   | _ -> fail "unexpected response to submit_batch"
 
-(** Fetch many results in one frame (protocol v2). *)
+(** Fetch many results in one frame. *)
 let fetch_batch (c : conn) (ids : int list) : Protocol.batch_fetch_item list =
   match request c (Protocol.Fetch_batch ids) with
   | Protocol.Results_batch items -> items

@@ -3,17 +3,18 @@
     Messages are length-prefixed JSON: a 4-byte big-endian payload length
     followed by one JSON document encoded with {!Json.to_string}.  Both
     directions carry a protocol version field ["v"]; a server answering a
-    request of an unknown version replies with a [Bad_version] error
-    instead of guessing.
+    request of any other version than {!version} replies with a
+    [Bad_version] error instead of guessing.
 
     Requests: [submit_flow] (a registered benchmark or inline MiniC
-    source; informed/uninformed mode; PSA strategy; optional budget),
-    [job_status], [fetch_result], [list_jobs], [metrics], [shutdown] —
-    and, since protocol version 2, [submit_batch]/[fetch_batch], which
-    carry many jobs in one frame so a load generator does not pay one
-    round-trip per request.  Batch items succeed or fail independently:
-    one poison MiniC source rejects that item with its typed error
-    while the rest of the frame proceeds.
+    source; informed/uninformed mode; PSA strategy; optional budget;
+    optional client-minted request id), [job_status], [fetch_result],
+    [list_jobs], [metrics], [svc_trace], [shutdown], and
+    [submit_batch]/[fetch_batch], which carry many jobs in one frame so
+    a load generator does not pay one round-trip per request.  Batch
+    items succeed or fail independently: one poison MiniC source
+    rejects that item with its typed error while the rest of the frame
+    proceeds.
 
     Errors are typed so clients can react programmatically: MiniC parse
     and typecheck failures, unknown benchmarks, queue-full backpressure,
@@ -27,10 +28,10 @@
     request for retrieving sampled/slow request traces. *)
 let version = 3
 
-(** Oldest version still accepted on decode.  v1 peers can keep
-    speaking every single-job request unchanged; only the batch frames
-    demand v2. *)
-let min_version = 1
+(** Oldest version accepted on decode.  Every in-repo peer (the CLI
+    client, the load generator, psabench) stamps {!version}, so older
+    frames are refused with [Bad_version]. *)
+let min_version = version
 
 (** Items allowed in one [submit_batch]/[fetch_batch] frame.  A frame
     beyond this is refused with [Bad_request] instead of letting one
@@ -369,17 +370,11 @@ let opt name conv j =
 
 let ( let* ) = Result.bind
 
-(* Accepts any version in [min_version, version] and returns it: the
-   caller gates version-specific message types on the value. *)
 let check_version j =
   let* v = field "v" to_int_opt j in
-  if v >= min_version && v <= version then Ok v else Error (Bad_version v)
+  if v >= min_version && v <= version then Ok () else Error (Bad_version v)
 
-(* [v] is the enclosing frame's declared protocol version; batch items
-   inherit it.  The v3 [request_id] field is refused — not silently
-   dropped — in older-versioned frames, matching the batch-frame
-   discipline. *)
-let submission_of_json ?(v = version) j =
+let submission_of_json j =
   let* source =
     match (member "bench" j, member "source" j) with
     | Some (String id), None -> Ok (Bench id)
@@ -394,11 +389,6 @@ let submission_of_json ?(v = version) j =
   let* budget = opt "budget" to_float_opt j in
   let* trace = opt "trace" to_bool_opt j in
   let* request_id = opt "request_id" to_string_opt j in
-  let* () =
-    if request_id <> None && v < 3 then
-      Error (Bad_request "\"request_id\" requires protocol version >= 3")
-    else Ok ()
-  in
   Ok
     {
       source;
@@ -423,35 +413,20 @@ let batch_items name j =
             (List.length items) max_batch_jobs))
   else Ok items
 
-(* Version-gated message types (batches in v2, trace retrieval in v3):
-   a peer declaring an older version gets a typed refusal naming the
-   version floor instead of a decoded message its declared version
-   cannot contain. *)
-let require_version ~floor v ty =
-  if v >= floor then Ok ()
-  else
-    Error
-      (Bad_request
-         (Printf.sprintf "%S requires protocol version >= %d" ty floor))
-
-let require_v2 v ty = require_version ~floor:2 v ty
-let require_v3 v ty = require_version ~floor:3 v ty
-
 let request_of_json j : (request, error_kind) result =
-  let* v = check_version j in
+  let* () = check_version j in
   let* ty = field "type" to_string_opt j in
   match ty with
   | "submit_flow" ->
-      let* s = submission_of_json ~v j in
+      let* s = submission_of_json j in
       Ok (Submit_flow s)
   | "submit_batch" ->
-      let* () = require_v2 v ty in
       let* items = batch_items "jobs" j in
       let* subs =
         List.fold_left
           (fun acc item ->
             let* acc = acc in
-            let* s = submission_of_json ~v item in
+            let* s = submission_of_json item in
             Ok (s :: acc))
           (Ok []) items
       in
@@ -463,7 +438,6 @@ let request_of_json j : (request, error_kind) result =
       let* id = field "job_id" to_int_opt j in
       Ok (Fetch_result id)
   | "fetch_batch" ->
-      let* () = require_v2 v ty in
       let* items = batch_items "job_ids" j in
       let* ids =
         List.fold_left
@@ -478,7 +452,6 @@ let request_of_json j : (request, error_kind) result =
   | "list_jobs" -> Ok List_jobs
   | "metrics" -> Ok Metrics
   | "svc_trace" ->
-      let* () = require_v3 v ty in
       let* slow = opt "slow" to_bool_opt j in
       Ok (Svc_trace { slow = Option.value slow ~default:false })
   | "shutdown" -> Ok Shutdown
@@ -583,7 +556,7 @@ let decode_batch of_item items =
   |> Result.map List.rev
 
 let response_of_json j : (response, error_kind) result =
-  let* v = check_version j in
+  let* () = check_version j in
   let* ty = field "type" to_string_opt j in
   match ty with
   | "submitted" ->
@@ -591,12 +564,10 @@ let response_of_json j : (response, error_kind) result =
       let* disposition = disposition_of_json j in
       Ok (Submitted { job_id; disposition })
   | "submitted_batch" ->
-      let* () = require_v2 v ty in
       let* items = batch_items "items" j in
       let* items = decode_batch batch_submit_item_of_json items in
       Ok (Submitted_batch items)
   | "results_batch" ->
-      let* () = require_v2 v ty in
       let* items = batch_items "items" j in
       let* items = decode_batch batch_fetch_item_of_json items in
       Ok (Results_batch items)
@@ -625,7 +596,6 @@ let response_of_json j : (response, error_kind) result =
       let* m = field "metrics" Option.some j in
       Ok (Metrics_data m)
   | "traces" ->
-      let* () = require_v3 v ty in
       let* t = field "traces" Option.some j in
       Ok (Traces t)
   | "shutting_down" -> Ok Shutting_down

@@ -59,9 +59,9 @@ let request_counter = function
   | Protocol.Svc_trace _ -> "requests_svc_trace"
   | Protocol.Shutdown -> "requests_shutdown"
 
-(* Fallback request ids for pre-v3 peers that mint none: "srv-N" with a
-   process-wide counter, so every job's trace still names a distinct
-   request. *)
+(* Fallback request ids for submissions that carry none ([request_id]
+   is optional): "srv-N" with a process-wide counter, so every job's
+   trace still names a distinct request. *)
 let srv_request_seq = Atomic.make 0
 
 let request_id_of (s : Protocol.submission) =

@@ -31,9 +31,9 @@
     candidates get fresh evaluations but are never recorded anywhere.
 
     Activity: off under [PSAFLOW_NO_SURROGATE] (exhaustive sweeps,
-    bit-for-bit today's behaviour, not even training), and off while
-    global tracing is enabled so traced runs keep their full
-    per-candidate span streams. *)
+    bit-for-bit today's behaviour, not even training).  Tracing does
+    not change it: a traced sweep is guided like an untraced one and
+    its trace shows only the candidates it actually simulated. *)
 
 type prediction =
   | Exact of float array
@@ -64,11 +64,6 @@ let enabled () =
   match !enabled_override with
   | Some b -> b
   | None -> not (Env.flag ~name:"PSAFLOW_NO_SURROGATE" ())
-
-(** Whether guided DSE is in effect: enabled and not globally tracing
-    (traced runs stay exhaustive so their span streams are complete and
-    warmth-independent). *)
-let active () = enabled () && not (Flow_obs.Trace.is_enabled ())
 
 (** How many top-ranked candidates receive a fresh analytic evaluation
     even when their prediction is certain. *)

@@ -60,11 +60,17 @@ for b in rush_larsen nbody bezier adpredictor kmeans; do
   # --trace re-parses the export with the service Json parser before
   # writing and exits non-zero on invalid JSON, so success here means
   # the document is well-formed
-  "$PSAFLOW" run "$b" --trace "$TMP/$b.trace.json" >/dev/null \
+  "$PSAFLOW" run "$b" >"$TMP/$b.run.txt" \
+    || { echo "FAIL: $b: run failed"; exit 1; }
+  "$PSAFLOW" run "$b" --trace "$TMP/$b.trace.json" >"$TMP/$b.traced.txt" \
     || { echo "FAIL: $b: traced run failed"; exit 1; }
+  # tracing records the run and never changes it (memo and surrogate
+  # stay on), so the traced run prints exactly the untraced output
+  diff "$TMP/$b.run.txt" "$TMP/$b.traced.txt" \
+    || { echo "FAIL: $b: --trace changed the run output"; exit 1; }
   grep -q '"traceEvents"' "$TMP/$b.trace.json" \
     || { echo "FAIL: $b: not a Chrome trace document"; exit 1; }
-  for cat in branch analysis dse task; do
+  for cat in branch analysis dse task memo; do
     grep -q "\"cat\":\"$cat\"" "$TMP/$b.trace.json" \
       || { echo "FAIL: $b: no $cat spans in trace"; exit 1; }
   done

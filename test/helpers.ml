@@ -169,3 +169,12 @@ let program_of_expr e =
 
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
+
+(** Reset every memo stage (parse/extract/reduce, profile and compile,
+    DSE sweeps, features) and the surrogate models to cold. *)
+let cold_memos () =
+  Psa.Stage_memo.clear ();
+  Minic_interp.Profile_cache.clear ();
+  Dse.Sweep_memo.clear ();
+  Flow_memo.Cache.clear Analysis.Features.memo;
+  Flow_surrogate.Surrogate.reset ()

@@ -1,12 +1,15 @@
 (** Tests for the cross-request stage-memo hierarchy (lib/memo and its
     wiring): byte-identity of memoized vs unmemoized flows over
-    generated MiniC programs, single-flight dedup under concurrent
-    domains, and LRU capacity/eviction accounting. *)
+    generated MiniC programs, memo hits under the global tracer,
+    single-flight dedup under concurrent domains, and LRU
+    capacity/eviction accounting. *)
 
 module Protocol = Flow_service.Protocol
 module Flow_exec = Flow_service.Flow_exec
 module Json = Flow_service.Json
 module Cache = Flow_memo.Cache
+module Trace = Flow_obs.Trace
+module Metrics = Flow_obs.Metrics
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -82,6 +85,70 @@ let prop_memo_identity =
           | Some r, Some c, Some w -> c = r && w = r
           | _ -> false)
         (variant_subs src))
+
+(* ------------------------------------------------------------------ *)
+(* Tracing records the memoized execution, never changes it            *)
+(* ------------------------------------------------------------------ *)
+
+(* Hits of every stage cache, profile stage included. *)
+let stage_hits () =
+  List.fold_left
+    (fun acc (name, v) ->
+      match v with
+      | Metrics.Counter n
+        when String.ends_with ~suffix:"_hits" name
+             && (String.starts_with ~prefix:"memo_" name
+                || String.starts_with ~prefix:"profile_cache" name) ->
+          acc + n
+      | _ -> acc)
+    0
+    (Metrics.snapshot Metrics.global)
+
+let interp_runs () = Metrics.counter_value Metrics.global "interp_runs"
+
+(* Warm a paper source through [Flow_exec], then run an untraced
+   strategy variant of it (a store miss sharing every stage key);
+   returns the variant's (stage hits, interpreter runs) deltas.  With
+   [~traced] the global tracer records both jobs, as it does while a
+   traced daemon submission runs beside untraced ones. *)
+let variant_deltas ~traced =
+  Helpers.cold_memos ();
+  if traced then Trace.start ();
+  Fun.protect ~finally:Trace.stop @@ fun () ->
+  ignore (exec (Protocol.submission (Protocol.Bench "bezier")));
+  let hits0 = stage_hits () and runs0 = interp_runs () in
+  ignore
+    (exec
+       (Protocol.submission ~strategy:Protocol.Model_perf
+          (Protocol.Bench "bezier")));
+  (stage_hits () - hits0, interp_runs () - runs0)
+
+(* outcome of each [memo.*] instant of the global export, in order *)
+let memo_outcomes () =
+  match Json.member "traceEvents" (Json.parse (Trace.export ~normalize:true ())) with
+  | Some (Json.List evs) ->
+      List.filter_map
+        (fun ev ->
+          match
+            ( Json.member "cat" ev,
+              Option.bind (Json.member "args" ev) (Json.member "outcome") )
+          with
+          | Some (Json.String "memo"), Some (Json.String o) -> Some o
+          | _ -> None)
+        evs
+  | _ -> Alcotest.fail "export is not a Chrome trace document"
+
+let test_tracer_keeps_memo () =
+  let idle_hits, idle_runs = variant_deltas ~traced:false in
+  let traced_hits, traced_runs = variant_deltas ~traced:true in
+  check "variant hits the stage memo" true (idle_hits > 0);
+  check_int "variant re-runs no interpreter" 0 idle_runs;
+  check_int "same stage hits with the tracer recording" idle_hits traced_hits;
+  check_int "same interpreter runs with the tracer recording" idle_runs
+    traced_runs;
+  match memo_outcomes () with
+  | "miss" :: rest -> check "a later lookup hits" true (List.mem "hit" rest)
+  | _ -> Alcotest.fail "trace does not open with a memo miss"
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight dedup under concurrent domains                        *)
@@ -175,6 +242,11 @@ let () =
     [
       ( "identity",
         [ QCheck_alcotest.to_alcotest ~long:false prop_memo_identity ] );
+      ( "trace",
+        [
+          Alcotest.test_case "untraced variant keeps its hits under the tracer"
+            `Quick test_tracer_keeps_memo;
+        ] );
       ( "single-flight",
         [
           Alcotest.test_case "4 domains, one compute" `Quick test_single_flight;

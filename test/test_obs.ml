@@ -349,9 +349,12 @@ let nesting_prop =
 let bezier = List.nth Benchmarks.Registry.all 2 (* smallest benchmark *)
 
 (* One informed flow run under the tracer, pinned to a deterministic
-   execution (one pool worker, cold profile cache), returning the
-   normalized export plus the outcome.  The context is built by the
-   caller: statement ids are assigned by a global parser counter, so
+   execution (one pool worker, every memo stage and the surrogate
+   reset to cold), returning the normalized export plus the outcome.
+   Tracing does not switch the caches off, so the run starts cold on
+   purpose: a warm run is a different (shorter) execution, and its
+   trace shows the hits.  The context is built by the caller:
+   statement ids are assigned by a global parser counter, so
    byte-determinism holds per parsed workload (each [psaflow run]
    invocation is a fresh process and parses identically). *)
 let traced_informed_run ctx =
@@ -362,7 +365,7 @@ let traced_informed_run ctx =
       Flow_par.Pool.override := saved;
       Trace.stop ())
   @@ fun () ->
-  Minic_interp.Profile_cache.clear ();
+  Helpers.cold_memos ();
   Trace.start ();
   let outcome = Psa.Std_flow.run_informed ctx in
   Trace.stop ();
@@ -384,6 +387,7 @@ let test_trace_golden_deterministic () =
     (Trace.count ~cat:"analysis" () >= 3);
   check "every DSE candidate traced" true (Trace.count ~cat:"dse" () >= 1);
   check "task spans present" true (Trace.count ~cat:"task" () >= 1);
+  check "memo lookups traced" true (Trace.count ~cat:"memo" () >= 1);
   (* the same run recorded its provenance into the contexts *)
   let decisions = Psa.Context.collect_decisions outcome.contexts in
   check "decisions recorded" true (decisions <> []);

@@ -240,6 +240,13 @@ let test_protocol_versioning () =
   let j = Json.Obj [ ("v", Json.Int 99); ("type", Json.String "metrics") ] in
   check "future version refused" true
     (Protocol.request_of_json j = Error (Protocol.Bad_version 99));
+  (* only the current version decodes: v1/v2 frames are refused *)
+  List.iter
+    (fun v ->
+      let j = Json.Obj [ ("v", Json.Int v); ("type", Json.String "metrics") ] in
+      check (Printf.sprintf "v%d frame refused" v) true
+        (Protocol.request_of_json j = Error (Protocol.Bad_version v)))
+    [ 1; 2 ];
   let j = Json.Obj [ ("type", Json.String "metrics") ] in
   check "missing version refused" true
     (match Protocol.request_of_json j with
@@ -248,7 +255,8 @@ let test_protocol_versioning () =
   check "unknown type refused" true
     (match
        Protocol.request_of_json
-         (Json.Obj [ ("v", Json.Int 1); ("type", Json.String "fry") ])
+         (Json.Obj
+            [ ("v", Json.Int Protocol.version); ("type", Json.String "fry") ])
      with
     | Error (Protocol.Bad_request _) -> true
     | _ -> false);
@@ -257,7 +265,7 @@ let test_protocol_versioning () =
        Protocol.request_of_json
          (Json.Obj
             [
-              ("v", Json.Int 1);
+              ("v", Json.Int Protocol.version);
               ("type", Json.String "submit_flow");
               ("bench", Json.String "nbody");
               ("source", Json.String "int main() { return 0; }");
@@ -339,7 +347,7 @@ let test_batch_limits () =
           (reparse
              (Protocol.request_to_json
                 (Protocol.Fetch_batch (ids (Protocol.max_batch_jobs + 1)))))));
-  (* batch frames are v2: the same frame stamped v1 is refused *)
+  (* the same batch frames stamped v1 are refused by version *)
   let downgrade = function
     | Json.Obj fields ->
         Json.Obj
@@ -348,12 +356,13 @@ let test_batch_limits () =
              fields)
     | j -> j
   in
+  let is_old = function Error (Protocol.Bad_version 1) -> true | _ -> false in
   check "v1 fetch_batch refused" true
-    (is_bad
+    (is_old
        (Protocol.request_of_json
           (downgrade (reparse (Protocol.request_to_json (Protocol.Fetch_batch [ 1 ]))))));
   check "v1 submit_batch refused" true
-    (is_bad
+    (is_old
        (Protocol.request_of_json
           (downgrade
              (reparse
@@ -364,7 +373,7 @@ let test_batch_limits () =
   let truncated =
     Json.Obj
       [
-        ("v", Json.Int 2);
+        ("v", Json.Int Protocol.version);
         ("type", Json.String "results_batch");
         ( "items",
           Json.List
@@ -389,7 +398,6 @@ let test_batch_limits () =
 
 let test_protocol_v3_trace_frames () =
   let reparse j = Json.parse (Json.to_string j) in
-  let is_bad = function Error (Protocol.Bad_request _) -> true | _ -> false in
   let restamp v = function
     | Json.Obj fields ->
         Json.Obj
@@ -422,23 +430,29 @@ let test_protocol_v3_trace_frames () =
   in
   check "submission request_id round-trips" true
     (Protocol.request_of_json (reparse (Protocol.request_to_json req)) = Ok req);
-  (* v3-only frames are refused when stamped v2 *)
+  (* every frame stamped v2 or v1 is refused by version, with or
+     without the v3 fields *)
+  let is_old v = function Error (Protocol.Bad_version w) -> w = v | _ -> false in
   check "v2 svc_trace refused" true
-    (is_bad
+    (is_old 2
        (Protocol.request_of_json
           (restamp 2
              (reparse
                 (Protocol.request_to_json (Protocol.Svc_trace { slow = false }))))));
   check "v2 submission with request_id refused" true
-    (is_bad (Protocol.request_of_json (restamp 2 (reparse (Protocol.request_to_json req)))));
-  (* a pre-v3 peer without request ids still speaks to us *)
-  let old = Protocol.Submit_flow (Protocol.submission (Protocol.Bench "nbody")) in
-  check "v2 plain submission accepted" true
-    (Protocol.request_of_json (restamp 2 (reparse (Protocol.request_to_json old)))
-    = Ok old);
-  check "v1 plain submission accepted" true
-    (Protocol.request_of_json (restamp 1 (reparse (Protocol.request_to_json old)))
-    = Ok old)
+    (is_old 2
+       (Protocol.request_of_json (restamp 2 (reparse (Protocol.request_to_json req)))));
+  (* the request id is optional: a plain current-version submission decodes *)
+  let plain = Protocol.Submit_flow (Protocol.submission (Protocol.Bench "nbody")) in
+  check "plain submission accepted" true
+    (Protocol.request_of_json (reparse (Protocol.request_to_json plain)) = Ok plain);
+  List.iter
+    (fun v ->
+      check (Printf.sprintf "v%d plain submission refused" v) true
+        (is_old v
+           (Protocol.request_of_json
+              (restamp v (reparse (Protocol.request_to_json plain))))))
+    [ 2; 1 ]
 
 (* --- framing ------------------------------------------------------- *)
 
@@ -1119,13 +1133,13 @@ let test_explain_and_trace () =
         with
         | Protocol.Submitted { job_id; _ } -> (
             match Client.wait_result addr job_id with
-            | Ok (_, r) -> r.Protocol.data
+            | Ok (_, r) -> (r.Protocol.report, r.Protocol.data)
             | Error e -> Alcotest.fail e)
         | other ->
             Alcotest.failf "submit: %s"
               (Json.to_string (Protocol.response_to_json other))
       in
-      let plain = submit ~trace:false in
+      let plain_report, plain = submit ~trace:false in
       (match Json.member "explain" plain with
       | Some served ->
           check "daemon explain = direct explain" true
@@ -1136,8 +1150,11 @@ let test_explain_and_trace () =
       check "untraced job carries no trace" true
         (Json.member "trace" plain = None);
       (* tracing changes the store key: this is a fresh execution, not a
-         cache hit on the untraced result *)
-      let traced = submit ~trace:true in
+         cache hit on the untraced result — but it runs the same
+         memoized flow, so it reports the same designs *)
+      let traced_report, traced = submit ~trace:true in
+      check_str "traced job report = untraced job report" plain_report
+        traced_report;
       (match Json.member "explain" traced with
       | Some served ->
           check "traced job explain unchanged" true
@@ -1155,6 +1172,15 @@ let test_explain_and_trace () =
             (List.exists
                (fun ev ->
                  Json.member "cat" ev = Some (Json.String "branch"))
+               events);
+          (* the untraced job warmed the stage memo; the traced one
+             shows those stages served from it *)
+          check "trace shows memo hits" true
+            (List.exists
+               (fun ev ->
+                 Json.member "cat" ev = Some (Json.String "memo")
+                 && Option.bind (Json.member "args" ev) (Json.member "outcome")
+                    = Some (Json.String "hit"))
                events)
       | _ -> Alcotest.fail "traced job has no embedded trace document")
 
